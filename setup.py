@@ -1,11 +1,29 @@
-"""Setup shim for legacy editable installs (``pip install -e . --no-use-pep517``).
+"""Packaging for the ``repro`` library, whose sources live under ``src/``.
 
-The execution environment has no ``wheel`` package and no network access, so
-PEP 660 editable installs (which build a wheel) are unavailable; this shim
-lets ``setup.py develop`` handle ``pip install -e .`` instead.  All project
-metadata lives in ``pyproject.toml``.
+``pip install .`` installs the ``repro`` package and its one runtime
+dependency (numpy); the version is read from ``src/repro/__init__.py``.
+The test and benchmark tools are listed in ``requirements.txt``.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"$',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.MULTILINE,
+).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description=(
+        "Reproduction of Zhu & Hajek, Stability of a peer-to-peer "
+        "communication system (PODC 2011)"
+    ),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

@@ -3,7 +3,7 @@
 Two layers live here:
 
 * :class:`BatchRunner` — fans independent swarm replications out across
-  ``multiprocessing`` workers (or runs them serially), derives one child seed
+  worker processes (or runs them serially), derives one child seed
   per replication via :func:`repro.simulation.rng.spawn_generators`, selects
   the simulation backend (``"object"`` reference simulator or ``"array"``
   structure-of-arrays kernel) and aggregates the per-replication
@@ -31,8 +31,6 @@ wall-clock, never the science.
 from __future__ import annotations
 
 import heapq
-import math
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -76,7 +74,7 @@ def _run_replication(task) -> SwarmResult:
 
 
 class TaskTimeoutError(RuntimeError):
-    """A supervised task overran its per-task deadline and was terminated."""
+    """A task overran its per-task deadline and was terminated."""
 
 
 class WorkerCrashError(RuntimeError):
@@ -85,7 +83,7 @@ class WorkerCrashError(RuntimeError):
 
 @dataclass(frozen=True)
 class TaskFailure:
-    """A supervised task that exhausted its retry budget.
+    """A task that exhausted its retry budget.
 
     Yielded in the task's position (``on_exhausted="yield"``) so consumers
     can degrade gracefully — e.g. the fleet scheduler records the swarm as
@@ -98,20 +96,6 @@ class TaskFailure:
     attempts: int
 
 
-class _AttemptZero:
-    """Picklable adapter: always call ``function(task, attempt=0)``.
-
-    Keeps the unsupervised pool path (``pool.imap``) working for callers
-    that opted into ``with_attempt`` signatures without supervision.
-    """
-
-    def __init__(self, function):
-        self.function = function
-
-    def __call__(self, task):
-        return self.function(task, 0)
-
-
 def _invoke_task(function, task, attempt: int, with_attempt: bool):
     if with_attempt:
         return function(task, attempt)
@@ -122,7 +106,7 @@ def _describe_error(error: BaseException) -> str:
     return f"{type(error).__name__}: {error}"
 
 
-def _run_supervised_serial(
+def _run_serial(
     function,
     tasks: Sequence,
     max_retries: int,
@@ -130,7 +114,7 @@ def _run_supervised_serial(
     on_exhausted: str,
     with_attempt: bool,
 ):
-    """In-process supervision: bounded retries only (a serial run has no
+    """In-process execution with bounded retries (a serial run has no
     supervisor thread to enforce a deadline against, so ``task_timeout``
     is not enforceable here — documented on :func:`map_tasks`)."""
     for index, task in enumerate(tasks):
@@ -159,7 +143,7 @@ def _run_supervised_serial(
             yield outcome
 
 
-def _run_supervised_pool(
+def _run_pool(
     function,
     tasks: Sequence,
     pool_size: int,
@@ -169,7 +153,7 @@ def _run_supervised_pool(
     on_exhausted: str,
     with_attempt: bool,
 ):
-    """Supervised process-pool execution: crash detection, deadlines, retry.
+    """Process-pool execution: crash detection, deadlines, retry.
 
     Uses ``concurrent.futures.ProcessPoolExecutor`` rather than
     ``multiprocessing.Pool`` because a dead worker breaks the executor
@@ -314,8 +298,7 @@ def _run_supervised_pool(
             cf.wait(futures, timeout=wait_for, return_when=cf.FIRST_COMPLETED)
     finally:
         if inflight:
-            # Consumer stopped early: cancel outstanding work, like the
-            # unsupervised path's pool teardown.
+            # Consumer stopped early: cancel the outstanding work.
             processes = getattr(executor, "_processes", None) or {}
             for process in list(processes.values()):
                 process.terminate()
@@ -343,8 +326,11 @@ def map_tasks(
     e.g. the fleet scheduler hitting a checkpoint stop — cancels the
     outstanding work).
 
-    Supervision (off by default; the default path is byte-for-byte the
-    original ``multiprocessing.Pool``/serial execution):
+    Both paths are supervised.  The pool is a
+    ``concurrent.futures.ProcessPoolExecutor``, so a worker that dies
+    (segfault, OOM kill, ``os._exit``) surfaces as a
+    :class:`WorkerCrashError` instead of a hang.  With the knobs at their
+    defaults every task runs once and its error is re-raised:
 
     * ``max_retries`` — failed tasks are retried up to this many times
       with deterministic exponential backoff (``retry_backoff * 2**k``
@@ -354,7 +340,7 @@ def map_tasks(
     * ``task_timeout`` — per-task wall-clock deadline (seconds) on the
       pool path; an overrunning task's workers are terminated and the
       task is charged one attempt.  Unenforceable in-process (a serial
-      run has no supervisor), so serial supervision retries only.
+      run has no supervisor), so the serial path retries only.
     * ``on_exhausted`` — ``"raise"`` re-raises the final error;
       ``"yield"`` yields a :class:`TaskFailure` sentinel in the task's
       position so the consumer can degrade gracefully.
@@ -371,7 +357,7 @@ def map_tasks(
         raise unsupported_option(
             "map_tasks", "max_retries", max_retries,
             "retries are a bounded non-negative count; pass 0 to disable "
-            "supervised retry",
+            "retry",
         )
     if task_timeout is not None and not task_timeout > 0:
         raise unsupported_option(
@@ -388,34 +374,23 @@ def map_tasks(
         raise ValueError(
             f"on_exhausted must be 'raise' or 'yield', got {on_exhausted!r}"
         )
-    supervised = (
-        task_timeout is not None or max_retries > 0 or on_exhausted != "raise"
-    )
     workers = workers or 0
     if workers > 1 and len(tasks) > 1:
-        if supervised:
-            yield from _run_supervised_pool(
-                function,
-                tasks,
-                min(workers, len(tasks)),
-                task_timeout,
-                max_retries,
-                retry_backoff,
-                on_exhausted,
-                with_attempt,
-            )
-        else:
-            pool_function = _AttemptZero(function) if with_attempt else function
-            with multiprocessing.Pool(min(workers, len(tasks))) as pool:
-                yield from pool.imap(pool_function, tasks)
-    elif supervised:
-        yield from _run_supervised_serial(
-            function, tasks, max_retries, retry_backoff, on_exhausted,
+        yield from _run_pool(
+            function,
+            tasks,
+            min(workers, len(tasks)),
+            task_timeout,
+            max_retries,
+            retry_backoff,
+            on_exhausted,
             with_attempt,
         )
     else:
-        for task in tasks:
-            yield _invoke_task(function, task, 0, with_attempt)
+        yield from _run_serial(
+            function, tasks, max_retries, retry_backoff, on_exhausted,
+            with_attempt,
+        )
 
 
 @dataclass
@@ -471,7 +446,7 @@ class BatchRunner:
         to :func:`repro.swarm.swarm.make_simulator`.
     workers:
         ``None``, 0 or 1 runs the batch serially in-process; ``n > 1`` uses a
-        ``multiprocessing`` pool of ``n`` workers.  Results are returned in
+        process pool of ``n`` workers.  Results are returned in
         seed order either way, so the outcome is independent of ``workers``.
     sim_kwargs:
         Extra simulator-constructor options (``rare_piece``,

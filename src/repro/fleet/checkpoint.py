@@ -47,18 +47,20 @@ from .faults import FaultState, InjectedCheckpointCrash, corrupt_file_bytes
 #: Version tag of the checkpoint payload layout.  Format 2 replaced the
 #: inline record list with a (num_records, log_offset) pointer into the
 #: sibling JSONL fleet log; format 3 added ``log_segment`` so the pointer
-#: survives log rotation.  Format-2 checkpoints are still loaded (their
-#: segment defaults to 0, which is what an unrotated log is).  The
-#: in-flight kernel snapshot is opaque to this module and carries its
-#: *own* format tag: snapshots written before the blocked draw buffer
-#: existed (kernel snapshot format 1, no ``"draws"`` entry) are still
-#: restored exactly by
-#: :meth:`repro.swarm.swarm._SwarmEventLoop.restore_state`, so old
-#: checkpoints survive the buffer migration without a checkpoint-format
-#: bump.
+#: survives log rotation.  The in-flight kernel snapshot is opaque to this
+#: module and carries its *own* format tag, checked by
+#: :meth:`repro.swarm.swarm._SwarmEventLoop.restore_state`.
 CHECKPOINT_FORMAT = 3
 
-_LOADABLE_FORMATS = (2, 3)
+_LOADABLE_FORMATS = (3,)
+
+
+class CheckpointFormatError(ValueError):
+    """A checkpoint was written in a format this build no longer reads.
+
+    A retired format is not corruption, so :func:`load_checkpoint` raises
+    this at once instead of falling back to the ``.bak`` copy.
+    """
 
 
 def default_log_path(checkpoint_path: Union[str, Path]) -> Path:
@@ -92,7 +94,7 @@ class FleetCheckpoint:
     #: the index always equals ``num_records`` when present.
     in_flight: Optional[Tuple[int, Dict[str, Any]]] = None
     #: Which log segment ``log_offset`` points into (0 for an unrotated
-    #: log, which is also what format-2 checkpoints imply).
+    #: log).
     log_segment: int = 0
     format: int = CHECKPOINT_FORMAT
 
@@ -187,14 +189,10 @@ def _load_checkpoint_file(path: Path) -> FleetCheckpoint:
     if not isinstance(checkpoint, FleetCheckpoint):
         raise ValueError(f"{path} does not contain a FleetCheckpoint")
     if checkpoint.format not in _LOADABLE_FORMATS:
-        raise ValueError(
-            f"unsupported checkpoint format {checkpoint.format} "
-            f"(expected one of {list(_LOADABLE_FORMATS)})"
+        raise CheckpointFormatError(
+            f"{path}: unsupported checkpoint format {checkpoint.format} "
+            f"(supported: {list(_LOADABLE_FORMATS)})"
         )
-    if not hasattr(checkpoint, "log_segment"):
-        # A format-2 pickle restored into the format-3 dataclass: the field
-        # default does not apply through pickle's __dict__ path, so pin it.
-        checkpoint.log_segment = 0
     return checkpoint
 
 
@@ -204,12 +202,14 @@ def load_checkpoint(path: Union[str, Path]) -> FleetCheckpoint:
     If the primary file is corrupt or unreadable but a ``.bak`` copy from
     the previous checkpoint write exists, loads that instead with a
     warning — resuming from one checkpoint interval earlier re-runs a few
-    swarms deterministically rather than losing the run.
+    swarms deterministically rather than losing the run.  A checkpoint
+    in a retired format raises :class:`CheckpointFormatError` with no
+    fallback.
     """
     target = Path(path)
     try:
         return _load_checkpoint_file(target)
-    except FileNotFoundError:
+    except (FileNotFoundError, CheckpointFormatError):
         raise
     except Exception as error:
         backup = backup_path(target)
@@ -226,6 +226,7 @@ def load_checkpoint(path: Union[str, Path]) -> FleetCheckpoint:
 
 __all__ = [
     "CHECKPOINT_FORMAT",
+    "CheckpointFormatError",
     "FleetCheckpoint",
     "backup_path",
     "default_log_path",

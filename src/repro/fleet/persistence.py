@@ -32,8 +32,7 @@ read, not fatal; corruption anywhere before the tail, or a
 schema-version mismatch, raises :class:`FleetLogError` with a pointed
 message — unless the reader opts into ``strict=False`` **salvage mode**,
 which skips checksum-failing interior lines with a warning and returns
-whatever survived.  Schema-1 logs (written before checksums existed) are
-still read; their lines simply carry no checksum to verify.
+whatever survived.  A line with no checksum at all counts as corrupt.
 """
 
 from __future__ import annotations
@@ -51,11 +50,10 @@ from .result import FleetSwarmRecord
 
 #: Version tag of the JSONL fleet-log schema.  Schema 2 added per-line
 #: CRC32 checksums, segment headers (``segment`` / ``base_records``) and
-#: columnar census snapshots; schema-1 logs are still readable (their
-#: lines predate checksums, so there is nothing to verify).
+#: columnar census snapshots.
 FLEET_LOG_SCHEMA = 2
 
-_READABLE_SCHEMAS = (1, 2)
+_READABLE_SCHEMAS = (2,)
 
 _HEADER_KIND = "fleet-log"
 _RECORD_KIND = "swarm"
@@ -75,10 +73,10 @@ def _crc_of(payload: dict) -> int:
 
 
 def _crc_ok(payload: dict) -> bool:
-    """Verify a line's checksum; lines without one (schema 1) pass."""
+    """Verify a line's checksum; a line without one fails."""
     crc = payload.get("crc")
     if crc is None:
-        return True
+        return False
     rest = {key: value for key, value in payload.items() if key != "crc"}
     return _crc_of(rest) == crc
 
@@ -118,7 +116,7 @@ class FleetLogHeader:
         if schema not in _READABLE_SCHEMAS:
             raise FleetLogError(
                 f"{path}: unsupported fleet-log schema {schema!r} "
-                f"(this build reads schemas {list(_READABLE_SCHEMAS)}); "
+                f"(supported: {list(_READABLE_SCHEMAS)}); "
                 "re-run the fleet or use a matching repro version"
             )
         if not _crc_ok(payload):

@@ -307,7 +307,6 @@ class PersistentFleetExecution:
         self.compact_after = compact_after
         self.fault_plan = fault_plan
         self._fault_state = FaultState(fault_plan) if fault_plan is not None else None
-        self._supervised = max_retries > 0 or task_timeout is not None
         if log_path is not None:
             self.log_path: Optional[Path] = Path(log_path)
         elif self.checkpoint_path is not None:
@@ -391,20 +390,17 @@ class PersistentFleetExecution:
         )
 
     def _map_chunks(self, run_chunk, run_task, chunks):
-        """Map chunk jobs over the workers, supervised when configured.
+        """Map chunk jobs over the workers through :func:`map_tasks`.
 
-        Unsupervised (the default) this is a straight :func:`map_tasks`
-        call — byte-for-byte the historical execution path.  Supervised,
-        chunk failures are retried with backoff by the runner; a chunk
-        whose retries are exhausted is *quarantined*: re-run in-process
-        one task at a time, so one poison swarm costs only its own record
-        (degraded to a ``failed`` record), never its chunk-mates.
+        Chunk failures are retried with backoff by the runner.  With
+        ``max_retries`` or ``task_timeout`` set, a chunk whose retries are
+        exhausted is *quarantined*: re-run in-process one task at a time,
+        so one poison swarm costs only its own record (degraded to a
+        ``failed`` record), never its chunk-mates.  At the defaults the
+        chunk's error is raised.
         """
         from ..experiments.runner import TaskFailure, map_tasks
 
-        if not self._supervised:
-            yield from map_tasks(run_chunk, chunks, self.workers)
-            return
         outcomes = map_tasks(
             run_chunk,
             chunks,
@@ -412,7 +408,11 @@ class PersistentFleetExecution:
             task_timeout=self.task_timeout,
             max_retries=self.max_retries,
             retry_backoff=self.retry_backoff,
-            on_exhausted="yield",
+            on_exhausted=(
+                "yield"
+                if self.max_retries or self.task_timeout is not None
+                else "raise"
+            ),
             with_attempt=True,
         )
         for outcome in outcomes:
@@ -462,7 +462,7 @@ class FleetScheduler(PersistentFleetExecution):
         The frozen fleet description.
     workers:
         ``None``/0/1 runs in-process; ``n > 1`` shards chunks over a
-        ``multiprocessing`` pool.  The result is identical either way.
+        process pool.  The result is identical either way.
     chunk_size:
         Consecutive swarms per worker dispatch (default: a few chunks per
         worker lane).
@@ -487,11 +487,11 @@ class FleetScheduler(PersistentFleetExecution):
         ``num_pieces <= 64`` for every swarm.
     max_retries / task_timeout / retry_backoff:
         Worker supervision (see :func:`repro.experiments.runner.map_tasks`):
-        any non-default value switches to the supervised pool, which
-        detects dead workers, respawns them, retries failed chunks with
-        deterministic backoff, and quarantines chunks that keep failing —
-        one poison swarm degrades to a ``failed`` record instead of
-        taking the run down.  Retried swarms reproduce their exact
+        the pool always detects dead workers; these knobs make it respawn
+        them, retry failed chunks with deterministic backoff, and
+        quarantine chunks that keep failing — one poison swarm degrades
+        to a ``failed`` record instead of taking the run down.  At the
+        defaults a failed chunk raises.  Retried swarms reproduce their exact
         records (per-swarm seeds are independent ``SeedSequence.spawn``
         children), so fingerprints are unchanged.
     rotate_every / compact_after:

@@ -9,7 +9,7 @@ independent yet the whole experiment is reproducible from one integer.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -39,15 +39,6 @@ def spawn_generators(seed: SeedLike, count: int) -> List[np.random.Generator]:
     return [np.random.default_rng(child) for child in root.spawn(count)]
 
 
-def exponential(rng: np.random.Generator, rate: float) -> float:
-    """Sample an Exp(rate) waiting time; ``inf`` when the rate is zero."""
-    if rate < 0:
-        raise ValueError(f"rate must be nonnegative, got {rate}")
-    if rate == 0:
-        return float("inf")
-    return float(rng.exponential(1.0 / rate))
-
-
 def poisson_arrival_times(
     rng: np.random.Generator, rate: float, horizon: float
 ) -> np.ndarray:
@@ -62,4 +53,4 @@ def poisson_arrival_times(
     return times
 
 
-__all__ = ["SeedLike", "make_rng", "spawn_generators", "exponential", "poisson_arrival_times"]
+__all__ = ["SeedLike", "make_rng", "spawn_generators", "poisson_arrival_times"]

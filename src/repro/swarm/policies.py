@@ -107,11 +107,6 @@ class OracleCensus(CensusSource):
     def __init__(self, piece_counts: Mapping[int, int]) -> None:
         self._counts = piece_counts
 
-    @property
-    def mapping(self) -> Mapping[int, int]:
-        """The underlying (read-only) piece-count mapping."""
-        return self._counts
-
     def count(self, piece: int) -> int:
         return self._counts.get(piece, 0)
 
@@ -123,10 +118,6 @@ class OracleCensus(CensusSource):
 
     def staleness(self) -> float:
         return 0.0
-
-
-#: One-per-process guard for the deprecated ``SwarmView.piece_counts`` read.
-_PIECE_COUNTS_WARNED = False
 
 
 @dataclass
@@ -171,29 +162,6 @@ class SwarmView:
     def piece_count(self, piece: int) -> float:
         """Number of peers currently holding ``piece`` per the census."""
         return self.census.count(piece)
-
-    @property
-    def piece_counts(self) -> Mapping[int, float]:
-        """Deprecated 1-based census mapping (read ``view.census`` instead).
-
-        Kept as a thin backward-compat shim: for an oracle census this is
-        the live count mapping as before; for a gossip census it is a dict
-        materialised from the estimate on every access.  Emits a
-        ``DeprecationWarning`` once per process.
-        """
-        global _PIECE_COUNTS_WARNED
-        if not _PIECE_COUNTS_WARNED:
-            _PIECE_COUNTS_WARNED = True
-            warnings.warn(
-                "SwarmView.piece_counts is deprecated; read the census through "
-                "view.census.count(k) / view.census.counts_array()",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        census = self.census
-        if isinstance(census, OracleCensus):
-            return census.mapping
-        return {k: census.count(k) for k in range(1, self.num_pieces + 1)}
 
 
 def _mask_bits(mask: int) -> List[int]:
@@ -410,8 +378,7 @@ class CallablePolicy(PieceSelectionPolicy):
     swarm view and an RNG, and must return a needed piece (or raise).  A
     usefulness check wraps the result so that a buggy function cannot violate
     the Theorem-14 constraint silently.  Census-aware callables should read
-    piece frequencies through ``view.census.count(k)`` (the deprecated
-    ``view.piece_counts[k]`` mapping still works but warns)::
+    piece frequencies through ``view.census.count(k)``::
 
         def prefer_rare_evens(downloader, uploader, view, rng):
             useful = sorted(downloader.useful_from(uploader))

@@ -699,13 +699,11 @@ class _SwarmEventLoop:
     # -- snapshot / restore ------------------------------------------------------
 
     #: Version tag of the snapshot layout produced by :meth:`capture_state`.
-    #: Format 2 added the draw-buffer remainder (``"draws"``); format-1
-    #: snapshots (which predate the buffer and whose RNG state is in sync
-    #: with the logical stream position) are still restorable.
+    #: Format 2 added the draw-buffer remainder (``"draws"``).
     SNAPSHOT_FORMAT = 2
 
     #: Snapshot formats :meth:`restore_state` accepts.
-    SUPPORTED_SNAPSHOT_FORMATS = (1, 2)
+    SUPPORTED_SNAPSHOT_FORMATS = (2,)
 
     def capture_state(self) -> Dict[str, Any]:
         """Serialise the simulator's full mutable state into a picklable dict.
@@ -760,7 +758,7 @@ class _SwarmEventLoop:
         if snapshot.get("format") not in self.SUPPORTED_SNAPSHOT_FORMATS:
             raise ValueError(
                 f"unsupported snapshot format {snapshot.get('format')!r} "
-                f"(supported: {self.SUPPORTED_SNAPSHOT_FORMATS})"
+                f"(supported: {list(self.SUPPORTED_SNAPSHOT_FORMATS)})"
             )
         if snapshot["backend"] != self.backend_name:
             raise ValueError(
@@ -779,9 +777,7 @@ class _SwarmEventLoop:
                 f"the simulator's scenario {expected_scenario!r}"
             )
         self.rng.bit_generator.state = copy.deepcopy(snapshot["rng_state"])
-        # Format-1 snapshots predate the draw buffer: their generator state
-        # carries no look-ahead, so an empty buffer restores them exactly.
-        self.draws.restore(snapshot.get("draws"))
+        self.draws.restore(snapshot["draws"])
         self._time = snapshot["time"]
         self.metrics = copy.deepcopy(snapshot["metrics"])
         run = snapshot["run"]

@@ -5,7 +5,7 @@ of a simulation reads stream position ``k`` of the underlying PCG64
 generator regardless of block size, so every block size yields bit-identical
 trajectories; snapshots carry the un-consumed block remainder so mid-block
 restores continue exactly; and snapshots/checkpoints that predate the buffer
-(format 1, no look-ahead) still restore.
+(format 1, no look-ahead) are rejected with a pointed error.
 """
 
 import pickle
@@ -195,11 +195,12 @@ class TestSnapshotMidBlock:
 
 
 class TestLegacySnapshotFormats:
-    """Format-1 snapshots (pre-buffer) and old fleet checkpoints restore."""
+    """Format-1 snapshots (pre-buffer), bare or inside a fleet checkpoint,
+    are rejected: restoring them must fail loudly, never degrade."""
 
     def _legacy_snapshot(self, backend):
-        """A faithful format-1 snapshot: captured at block size 1, where the
-        generator holds no look-ahead, then stripped of the buffer state."""
+        """A format-1 snapshot: captured at block size 1, then stripped of
+        the buffer state, exactly as a pre-buffer build wrote it."""
         simulator = make_simulator(
             _params(), seed=47, backend=backend, draw_block_size=1
         )
@@ -210,33 +211,34 @@ class TestLegacySnapshotFormats:
             suspend_after_events=37,
         )
         snapshot = simulator.capture_state()
-        assert len(snapshot["draws"]["uniforms"]) == 0
         del snapshot["draws"]
         snapshot["format"] = 1
-        reference = simulator.run(9.0, resume=True, max_events=500)
-        return snapshot, reference
+        return snapshot
 
     @pytest.mark.parametrize("backend", ("object", "array"))
-    def test_format_1_snapshot_restores(self, backend):
-        snapshot, reference = self._legacy_snapshot(backend)
+    def test_format_1_snapshot_is_rejected(self, backend):
+        snapshot = self._legacy_snapshot(backend)
         fresh = make_simulator(_params(), seed=0, backend=backend)
-        fresh.restore_state(snapshot)
-        resumed = fresh.run(9.0, resume=True, max_events=500)
-        assert resumed.final_state == reference.final_state
-        assert resumed.final_time == reference.final_time
+        with pytest.raises(
+            ValueError, match=r"snapshot format 1 \(supported: \[2\]\)"
+        ):
+            fresh.restore_state(snapshot)
 
     def test_unknown_format_still_rejected(self):
         simulator = make_simulator(_params(), seed=1)
-        snapshot = simulator.capture_state()
-        snapshot["format"] = 999
-        with pytest.raises(ValueError, match="format"):
-            simulator.restore_state(snapshot)
+        for retired in (1, 999):
+            snapshot = simulator.capture_state()
+            snapshot["format"] = retired
+            with pytest.raises(
+                ValueError, match=rf"snapshot format {retired} \(supported"
+            ):
+                simulator.restore_state(snapshot)
 
-    def test_old_fleet_checkpoint_with_format_1_kernel_snapshot(
-        self, tmp_path, monkeypatch
+    def test_old_fleet_checkpoint_with_format_1_kernel_snapshot_is_rejected(
+        self, tmp_path
     ):
         """A fleet checkpoint written before the draw buffer existed carries
-        a format-1 in-flight kernel snapshot; resume must accept it."""
+        a format-1 in-flight kernel snapshot; resume must refuse it."""
         from repro.fleet import (
             FixedSampler,
             FleetSpec,
@@ -246,11 +248,6 @@ class TestLegacySnapshotFormats:
         )
         from repro.fleet.checkpoint import save_checkpoint
 
-        # Block size 1 reproduces the pre-buffer capture exactly: the
-        # generator is in sync, so stripping the (empty) buffer state and
-        # stamping format 1 yields a checkpoint an old build would have
-        # written for the same trajectory.
-        monkeypatch.setenv(BLOCK_SIZE_ENV, "1")
         spec = FleetSpec(
             name="legacy-ckpt",
             num_swarms=6,
@@ -266,7 +263,6 @@ class TestLegacySnapshotFormats:
             backend="array",
             initial_club_size=10,
         )
-        uninterrupted = run_fleet(spec, seed=21)
         path = tmp_path / "fleet.ckpt"
         run_fleet(
             spec,
@@ -278,15 +274,12 @@ class TestLegacySnapshotFormats:
         checkpoint = load_checkpoint(path)
         assert checkpoint.in_flight is not None
         index, snapshot = checkpoint.in_flight
-        assert len(snapshot["draws"]["uniforms"]) == 0
         del snapshot["draws"]
         snapshot["format"] = 1
         checkpoint.in_flight = (index, snapshot)
         save_checkpoint(path, checkpoint)
-        # The new build (any block size) resumes the old checkpoint exactly.
-        monkeypatch.delenv(BLOCK_SIZE_ENV)
-        resumed = resume_fleet(path)
-        assert resumed == uninterrupted
+        with pytest.raises(ValueError, match=r"snapshot format 1 \(supported"):
+            resume_fleet(path)
 
 
 class TestRestoreIntoUsedSimulator:

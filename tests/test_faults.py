@@ -154,6 +154,26 @@ def _crashing_task(task, attempt):
     return value + 100
 
 
+def _exit_on_two(value):
+    if value == 2:
+        os._exit(173)
+    return value
+
+
+_DEFAULT_POOL_CRASH_CHILD = """
+import sys
+sys.path.insert(0, {tests_dir!r})
+from repro.experiments.runner import WorkerCrashError, map_tasks
+from test_faults import _exit_on_two
+
+try:
+    list(map_tasks(_exit_on_two, range(6), 2))
+except WorkerCrashError:
+    raise SystemExit(0)
+raise SystemExit("map_tasks did not raise WorkerCrashError")
+"""
+
+
 def _stalling_task(task, attempt):
     value, stalls = task
     if stalls and attempt == 0:
@@ -189,6 +209,26 @@ class TestSupervisedMapTasks:
         out = list(map_tasks(_crashing_task, tasks, 2, max_retries=2,
                              with_attempt=True))
         assert out == [100, 101, 102, 103, 104, 105]
+
+    def test_chaos_default_pool_raises_on_worker_crash(self):
+        """At default knobs a dead worker raises instead of hanging the
+        pool; the child runs under a timeout so a hang fails the test."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get(
+            "PYTHONPATH", ""
+        )
+        script = _DEFAULT_POOL_CRASH_CHILD.format(
+            tests_dir=str(REPO_ROOT / "tests")
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            cwd=str(REPO_ROOT),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-2000:]
 
     def test_pool_times_out_stalled_task_and_retries(self):
         tasks = [(i, i == 1) for i in range(4)]  # task 1 stalls on attempt 0
@@ -575,6 +615,24 @@ class TestSalvageMode:
         with pytest.warns(UserWarning):
             rebuilt = FleetResult.from_log(log, strict=False)
         assert len(rebuilt.records) == 3  # the prefix before the bad line
+
+    def test_record_without_checksum_is_corrupt(self, tmp_path):
+        spec = small_spec(num_swarms=8)
+        log = tmp_path / "fleet.jsonl"
+        run_fleet(spec, seed=1, log_path=log)
+        lines = log.read_bytes().split(b"\n")
+        payload = json.loads(lines[4])  # record 3; line 0 is the header
+        del payload["crc"]
+        lines[4] = json.dumps(payload, sort_keys=True).encode()
+        log.write_bytes(b"\n".join(lines))
+        with pytest.raises(FleetLogError, match="CRC32"):
+            read_log(log)
+        with pytest.warns(UserWarning, match="checksum"):
+            salvaged = read_log(log, strict=False)
+        assert salvaged.salvaged == 1
+        assert [record.index for record in salvaged.records] == [
+            0, 1, 2, 4, 5, 6, 7,
+        ]
 
     def test_undecodable_interior_line_is_salvaged_too(self, tmp_path):
         spec = small_spec(num_swarms=8)

@@ -9,7 +9,9 @@ Contracts:
   corruption before the tail and schema-version mismatches raise a clear
   ``FleetLogError``;
 * checkpoints hold only a byte offset into the log (no record list), and
-  resuming truncates the log back to that offset so both always agree.
+  resuming truncates the log back to that offset so both always agree;
+* retired formats (fleet-log schema 1, checkpoint format 2) are rejected
+  with an error naming the format found and the one supported.
 """
 
 import json
@@ -32,6 +34,7 @@ from repro.fleet import (
     run_fleet,
     tail_summary,
 )
+from repro.fleet.checkpoint import CheckpointFormatError, backup_path
 from repro.fleet.spec import FleetSpec
 
 
@@ -285,3 +288,44 @@ class TestFsyncBatching:
     def test_fsync_every_n_validation(self, tmp_path):
         with pytest.raises(ValueError, match="fsync_every_n"):
             run_fleet(small_spec(), seed=1, fsync_every_n=0)
+
+
+class TestRetiredFormats:
+    def test_schema_1_log_header_is_rejected(self, tmp_path):
+        """A schema-1 log (no checksums, no segment fields) is refused
+        outright rather than read without verification."""
+        spec = small_spec(num_swarms=3)
+        log = tmp_path / "fleet.jsonl"
+        run_fleet(spec, seed=6, log_path=log)
+        lines = []
+        for line in log.read_text().splitlines():
+            payload = json.loads(line)
+            del payload["crc"]
+            if payload["kind"] == "fleet-log":
+                payload["schema"] = 1
+                del payload["segment"], payload["base_records"]
+            lines.append(json.dumps(payload, sort_keys=True))
+        log.write_text("\n".join(lines) + "\n")
+        match = r"fleet-log schema 1 \(supported: \[2\]\)"
+        with pytest.raises(FleetLogError, match=match):
+            read_log(log)
+        with pytest.raises(FleetLogError, match=match):
+            read_log(log, strict=False)
+
+    def test_format_2_checkpoint_is_rejected(self, tmp_path):
+        """A format-2 checkpoint (no ``log_segment``) is refused, and the
+        ``.bak`` fallback does not paper over it."""
+        spec = small_spec(num_swarms=6)
+        path = tmp_path / "fleet.ckpt"
+        run_fleet(spec, seed=8, checkpoint_path=path, stop_after_swarms=3)
+        checkpoint = load_checkpoint(path)
+        assert backup_path(path).exists()
+        checkpoint.format = 2
+        del checkpoint.__dict__["log_segment"]
+        path.write_bytes(pickle.dumps(checkpoint))
+        match = r"checkpoint format 2 \(supported: \[3\]\)"
+        with pytest.raises(CheckpointFormatError, match=match):
+            load_checkpoint(path)
+        with pytest.raises(CheckpointFormatError, match=match):
+            resume_fleet(path)
+

@@ -261,21 +261,6 @@ class TestCensusSourceAPI:
         )
         assert view.piece_count(1) == 4
 
-    def test_piece_counts_property_warns_once_per_process(self, monkeypatch):
-        monkeypatch.setattr(policies_module, "_PIECE_COUNTS_WARNED", False)
-        view = SwarmView(
-            num_pieces=2, census=OracleCensus({1: 4, 2: 1}), total_peers=5, time=0.0
-        )
-        with pytest.warns(DeprecationWarning, match="view.census.count"):
-            counts = view.piece_counts
-        assert counts[1] == 4
-        # Second access: the process-wide guard suppresses the warning.
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            assert view.piece_counts[2] == 1
-
     def test_mask_shim_warns_once_per_process(self, monkeypatch):
         monkeypatch.setattr(policies_module, "_MASK_SHIM_WARNED", False)
         from repro.swarm.policies import CallablePolicy
