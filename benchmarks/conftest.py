@@ -16,8 +16,8 @@ arrival pulse) exercising the scenario code path — plus an *overlay*
 workload (the same one-club shape on a degree-8 tracker overlay, so the
 adjacency-gather contact path of both backends sits under the gate) — plus
 a *gossip* workload (the one-club shape with policies reading the
-flow-updating gossip census, which disables the array kernel's cross-event
-batching, so the scalar fallback path sits under the gate) — plus
+flow-updating gossip census, which the array kernel batches through its
+scalar walk only, so the walk's exchange path sits under the gate) — plus
 the *fleet* workload: 200 swarms of 500 one-club peers each (100k peers total, mixed
 plain/flash-crowd/free-rider scenario distribution) scheduled through
 ``repro.fleet`` on the array backend, recording the aggregate events/sec of

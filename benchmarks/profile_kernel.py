@@ -28,12 +28,19 @@ Usage::
     PYTHONPATH=src python benchmarks/profile_kernel.py --backend object
     PYTHONPATH=src python benchmarks/profile_kernel.py --scenario --events 100000
     PYTHONPATH=src python benchmarks/profile_kernel.py --topology     # tracker overlay
+    PYTHONPATH=src python benchmarks/profile_kernel.py --gossip       # gossip census
     PYTHONPATH=src python benchmarks/profile_kernel.py --block-size 1   # scalar draws
     PYTHONPATH=src python benchmarks/profile_kernel.py --stacked        # fleet mega-kernel
 
 With ``--topology`` the phase table gains overlay rows — arrival wiring,
 churn rewiring and the per-contact neighbor draw — so overlay overhead is
-attributable next to the draw/apply/census split.
+attributable next to the draw/apply/census split.  ``--gossip`` profiles the
+gossip-census workload (``GOSSIP_BENCH_WORKLOAD``).  Two breakdown rows sit
+inside the phases above them and are not added into the residual: the batch
+stage's vector classifier (``_wasted_prefix``; the rest of the batch-stage
+row is its scalar walk and clock walk, and all of it under gossip, where
+the walk never escalates) and the gossip exchanges (``GossipState.exchange``,
+fired from the walk and from the scalar dispatch).
 """
 
 from __future__ import annotations
@@ -47,9 +54,11 @@ from contextlib import contextmanager
 from conftest import (
     BENCH_WORKLOAD,
     FLEET_BENCH_WORKLOAD,
+    GOSSIP_BENCH_WORKLOAD,
     OVERLAY_BENCH_WORKLOAD,
     SCENARIO_BENCH_WORKLOAD,
     _fleet_bench_spec,
+    _gossip_bench_spec,
     _overlay_bench_spec,
     _scenario_bench_spec,
 )
@@ -63,6 +72,9 @@ def _build(args):
     if args.topology:
         spec = dict(OVERLAY_BENCH_WORKLOAD)
         scenario = _overlay_bench_spec()
+    elif args.gossip:
+        spec = dict(GOSSIP_BENCH_WORKLOAD)
+        scenario = _gossip_bench_spec()
     elif args.scenario:
         spec = dict(SCENARIO_BENCH_WORKLOAD)
         scenario = _scenario_bench_spec()
@@ -102,6 +114,7 @@ def _phase_timers():
     """Patch the phase entry points with accumulating timers (class-level,
     restored on exit): phase name -> [calls, seconds]."""
     from repro.swarm.drawbuf import DrawBuffer
+    from repro.swarm.gossip import GossipState
     from repro.swarm.kernel import ArraySwarmKernel
     from repro.swarm.swarm import SwarmSimulator, _SwarmEventLoop
     from repro.swarm.topology import OverlayState
@@ -126,6 +139,7 @@ def _phase_timers():
 
     instrument(DrawBuffer, "_refill", "draw (block refill)")
     instrument(ArraySwarmKernel, "_batch_stage", "apply (batch stage)")
+    instrument(ArraySwarmKernel, "_wasted_prefix", "batch · vector tier")
     instrument(_SwarmEventLoop, "_apply_event", "apply (scalar dispatch)")
     # _record_sample lives on each backend, not the shared driver.
     instrument(ArraySwarmKernel, "_record_sample", "census (sampling)")
@@ -135,6 +149,7 @@ def _phase_timers():
     instrument(OverlayState, "on_arrival", "overlay (arrival wiring)")
     instrument(OverlayState, "on_departure", "overlay (churn rewiring)")
     instrument(OverlayState, "draw_target", "overlay (target draw)")
+    instrument(GossipState, "exchange", "gossip · exchange")
     try:
         yield totals
     finally:
@@ -162,7 +177,9 @@ def run_phase_table(args) -> None:
             continue
         # The scalar dispatch is also reached through the batch stage's
         # fall-through iterations, so phases can nest; shares are of wall.
-        accounted += seconds
+        # The "·" rows break down a phase above them: not re-added.
+        if " · " not in phase:
+            accounted += seconds
         print(f"{phase:<28}{calls:>12,}{seconds:>12.3f}{seconds / wall:>8.1%}")
     residual = max(wall - accounted, 0.0)
     print(f"{'residual (scalar loop)':<28}{'—':>12}{residual:>12.3f}{residual / wall:>8.1%}")
@@ -308,6 +325,11 @@ def main() -> None:
         "--topology",
         action="store_true",
         help="profile the tracker-overlay workload (adds overlay phase rows)",
+    )
+    workload.add_argument(
+        "--gossip",
+        action="store_true",
+        help="profile the gossip-census workload (adds the exchange row)",
     )
     parser.add_argument(
         "--block-size",

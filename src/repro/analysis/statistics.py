@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -44,6 +43,8 @@ def mean_confidence_interval(
     mean = float(data.mean())
     if data.size == 1:
         return ConfidenceInterval(mean, math.inf, confidence, 1)
+    from scipy import stats  # deferred: slow import, only needed here
+
     sem = float(stats.sem(data))
     if sem == 0.0:
         return ConfidenceInterval(mean, 0.0, confidence, data.size)

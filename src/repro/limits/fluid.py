@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ..core.parameters import SystemParameters
 from ..core.types import PieceSet, all_types, canonical_type_order
@@ -118,6 +117,8 @@ class FluidModel:
         if initial:
             for type_c, mass in initial.items():
                 x0[self._index[type_c]] = mass
+        from scipy.integrate import solve_ivp  # deferred: slow import
+
         times = np.linspace(0.0, horizon, num_samples)
         solution = solve_ivp(
             self.rhs,

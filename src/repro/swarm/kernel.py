@@ -35,11 +35,12 @@ produces bit-identical trajectories (populations, piece censuses, one-club
 sizes, metrics).  ``tests/test_property_based.py`` asserts this property;
 any change to a handler of either backend must preserve it (or update both).
 
-On top of the scalar handlers the kernel adds a **vectorized batch stage**
+On top of the scalar handlers the kernel adds a **batch stage**
 (:meth:`_batch_stage`): runs of state-neutral events — wasted peer ticks,
 the dominant event of a captured swarm — are classified against the pending
-draw block with numpy array ops and applied wholesale, consuming exactly the
-draws the scalar loop would, so the batching is invisible in the trajectory
+draw block (a scalar walk first, numpy array ops once a run proves long)
+and applied without the per-event dispatch, consuming exactly the draws
+the scalar loop would, so the batching is invisible in the trajectory
 (enforced at ``DRAW_BLOCK_SIZE=1`` vs. default in CI).
 
 The contract extends to declarative scenarios
@@ -77,6 +78,11 @@ from .policies import PieceSelectionPolicy, RandomUsefulSelection, SwarmView
 from .swarm import _SwarmEventLoop
 
 _MAX_ARRAY_PIECES = 64
+
+#: Clean scalar-walk candidates after which the batch stage hands the rest
+#: of the pending block to the vector classifier.  On shorter runs one numpy
+#: classification costs more than walking the candidates one by one.
+_WALK_PROBE = 8
 
 
 class ArraySwarmKernel(_SwarmEventLoop):
@@ -157,16 +163,15 @@ class ArraySwarmKernel(_SwarmEventLoop):
             self._arrival_masks[0] if len(self._arrival_masks) == 1 else None
         )
         self._init_driver(scenario, draw_block_size)
-        # The vectorized batch stage needs wasted peer ticks to be provably
-        # state-neutral: retry speedups turn a wasted tick into a rate
-        # change, and only policies flagged rng-free-when-useless are known
-        # not to consume draws on a useless contact.  A gossip census adds a
-        # draw (and a state mutation) to *every* peer tick, so gossip swarms
-        # stay on the scalar per-event path wholesale.
-        self._batch_enabled = (
-            retry_speedup == 1.0
-            and getattr(self.policy, "rng_free_when_useless", False)
-            and self._gossip is None
+        # The batch stage needs wasted peer ticks to be provably rate-neutral:
+        # retry speedups turn a wasted tick into a rate change, and only
+        # policies flagged rng-free-when-useless are known not to consume
+        # draws on a useless contact.  A gossip census adds one draw (and
+        # possibly an exchange) to every peer tick but never changes a rate
+        # and is only read on a useful contact, so gossip swarms batch too,
+        # through the scalar walk alone (see ``_batch_stage``).
+        self._batch_enabled = retry_speedup == 1.0 and getattr(
+            self.policy, "rng_free_when_useless", False
         )
         self._membership_version = 0
         self._ticker_cache: Optional[dict] = None
@@ -702,9 +707,9 @@ class ArraySwarmKernel(_SwarmEventLoop):
         if self._gossip is not None:
             # One gossip uniform per peer tick, after the ticker/target
             # draws and before the transfer — mirroring the object backend.
-            # (Gossip lanes are never windowable, so the stacked phase-4
-            # fast path, which lands here with the draws pre-consumed,
-            # cannot reach this branch.)
+            # (The stacked driver excludes gossip lanes from its cross-lane
+            # window, so its phase-4 fast path, which lands here with the
+            # draws pre-consumed, cannot reach this branch.)
             self._gossip_tick(uploader, target)
         if target == uploader:
             self.metrics.wasted_contacts += 1
@@ -828,22 +833,32 @@ class ArraySwarmKernel(_SwarmEventLoop):
         next_sample: float,
         limit: Optional[int],
     ) -> Tuple[int, float]:
-        """Consume a run of wasted peer ticks with vectorized classification.
+        """Consume a run of wasted peer ticks without the scalar dispatch.
 
         A wasted peer tick — the dominant event in a captured (one-club)
-        swarm — consumes exactly four buffered draws (inter-event
-        exponential, event-type selection, ticking peer, contact target) and
-        mutates nothing but the clock and ``metrics.wasted_contacts``, so
-        the event rates provably stay constant across any run of them.  The
-        stage speculatively classifies the pending draw block in groups of
-        four with array ops (event type, ticker/target rows, usefulness of
-        the contact via the mask census) and applies the maximal
-        state-neutral prefix; the first event that transfers a piece,
-        arrives, departs, ticks the fixed seed, or crosses the horizon is
-        left — draws untouched — for the scalar path.  Each batched event
-        consumes the same draws with the same semantics as the scalar loop,
-        so trajectories are bit-identical (enforced by the equivalence and
+        swarm — consumes a fixed stride of buffered draws (inter-event
+        exponential, event-type selection, ticking peer, contact target,
+        plus the exchange uniform under a gossip census) and mutates
+        nothing that feeds an event rate, so the rates provably stay
+        constant across any run of them.  The stage classifies the pending
+        draw block candidate by candidate and applies the maximal wasted
+        prefix; the first event that transfers a piece, arrives, departs,
+        ticks the fixed seed, or crosses the horizon is left — draws
+        untouched — for the scalar path.  Each batched event consumes the
+        same draws with the same semantics as the scalar loop, so
+        trajectories are bit-identical (enforced by the equivalence and
         checkpoint property tests at ``DRAW_BLOCK_SIZE=1`` vs. default).
+
+        Classification is two-tier.  A scalar walk peeks each candidate's
+        draws (same truncate-and-clamp maps as the scalar draws) and
+        applies it with the scalar loop's clock walk: wasted runs of a
+        near-stable swarm are short, and a handful of scalar checks costs a
+        fraction of one numpy classification.  Only after ``_WALK_PROBE``
+        clean candidates does the rest of the block go to the vector
+        classifier (:meth:`_wasted_prefix`), which pays off on the long
+        runs of a captured swarm.  Under a gossip census a fired exchange
+        mutates the estimate rows the sample grid reads, so the walk
+        applies it in place (at the event's time) and never escalates.
 
         A second state-neutral family — thinning-*rejected* arrival and
         fixed-seed-tick candidates under a scheduled (non-constant) rate,
@@ -854,14 +869,15 @@ class ArraySwarmKernel(_SwarmEventLoop):
         if n == 0:
             return 0, next_sample
         draws = self.draws
-        if draws.remaining() < 2:
+        pos = draws._pos
+        remaining = draws._len - pos
+        if remaining < 2:
             return 0, next_sample
+        uniforms = draws._uniforms
         r01 = rates[0] + rates[1]
         r012 = r01 + rates[2]
-        # Scalar pre-check of the first candidate, so event streams that are
-        # not batchable skip the vector classification entirely.
-        first_sel = float(draws.uniforms_view(2)[1]) * total
-        if not (first_sel > r01 and first_sel <= r012):
+        first_sel = uniforms.item(pos + 1) * total
+        if not r01 < first_sel <= r012:
             if (first_sel <= rates[0] and self._thin_arrivals) or (
                 rates[0] < first_sel <= r01 and self._thin_seed
             ):
@@ -869,74 +885,79 @@ class ArraySwarmKernel(_SwarmEventLoop):
                     rates, total, horizon, interval, next_sample, limit
                 )
             return 0, next_sample
-        candidates = draws.remaining() >> 2
+        gossip = self._gossip
+        stride = 4 if gossip is None else 5
+        candidates = remaining // stride
         if limit is not None and candidates > limit:
             candidates = limit
         if candidates <= 0:
             return 0, next_sample
-        uniforms = draws.uniforms_view(4 * candidates)
-        hetero = self._classes is not None
+        walk = candidates
+        if gossip is None and walk > _WALK_PROBE:
+            walk = _WALK_PROBE
+        exps = draws._exp
         masks = self._masks
         overlay = self._overlay
-
-        def leading_ok(window: int) -> int:
-            chunk = uniforms[: 4 * window]
-            selector = chunk[1::4] * total
-            is_peer_tick = (selector > r01) & (selector <= r012)
-            if hetero:
-                ticker = self._batch_hetero_tickers(chunk[2::4])
-                if ticker is None:
-                    return 0
-            else:
-                ticker = (chunk[2::4] * n).astype(np.int64)
-                np.minimum(ticker, n - 1, out=ticker)
-            if overlay is not None:
-                # Adjacency gather: the target draw maps onto the ticker's
-                # neighbor row with the scalar truncate-and-clamp.  A
-                # zero-degree ticker wastes its tick regardless of the
-                # (clamped, garbage) gather, so the `zero` mask gates it.
-                degree = overlay.deg[ticker]
-                index = (chunk[3::4] * degree).astype(np.int64)
-                np.minimum(index, degree - 1, out=index)
-                np.maximum(index, 0, out=index)
-                target = overlay.adj[ticker, index]
-                useless = (masks[ticker] & ~masks[target]) == 0
-                ok = is_peer_tick & ((degree == 0) | useless)
-            else:
-                target = (chunk[3::4] * n).astype(np.int64)
-                np.minimum(target, n - 1, out=target)
-                useless = (masks[ticker] & ~masks[target]) == 0
-                ok = is_peer_tick & ((ticker == target) | useless)
-            bad = np.flatnonzero(~ok)
-            return int(bad[0]) if bad.size else window
-
-        # Two-tier classification: probe a small window first, so phases
-        # dominated by transfers / arrivals (where runs of wasted ticks are
-        # short) never pay a full-block classification to apply a handful
-        # of events; only a fully-clean probe escalates to the whole block.
-        probe = 16 if candidates > 16 else candidates
-        count = leading_ok(probe)
-        if count == probe and candidates > probe:
-            count = leading_ok(candidates)
-        if count == 0:
-            return 0, next_sample
-        # Exact sequential clock walk over the accepted prefix: same
-        # accumulation order, grid recording and horizon comparison as the
-        # scalar loop (the exponentials are the block's precomputed
-        # inverse-transform values, so the doubles match too).
+        segments = self._ticker_segments() if self._classes is not None else None
+        pick = self._pick_from_segments
+        exchange_rate = gossip.exchange_rate if gossip is not None else 0.0
         scale = 1.0 / total
-        time = self._time
         record = self._record_sample
+        time = self._time
         applied = 0
-        for exp_draw in draws.exp_view(4 * count)[::4].tolist():
-            next_event_time = time + exp_draw * scale
+        base = pos
+        while applied < walk:
+            sel = uniforms.item(base + 1) * total
+            if not r01 < sel <= r012:
+                break
+            if segments is not None:
+                ticker = pick(segments, uniforms.item(base + 2))
+            else:
+                ticker = int(uniforms.item(base + 2) * n)
+                if ticker >= n:
+                    ticker = n - 1
+            if overlay is not None:
+                target = overlay.draw_target(ticker, uniforms.item(base + 3))
+                if target >= 0 and masks.item(ticker) & ~masks.item(target):
+                    break
+            else:
+                target = int(uniforms.item(base + 3) * n)
+                if target >= n:
+                    target = n - 1
+                if target != ticker and masks.item(ticker) & ~masks.item(target):
+                    break
+            next_event_time = time + exps.item(base) * scale
             while next_sample <= horizon and next_sample < next_event_time:
                 record(next_sample)
                 next_sample += interval
             if next_event_time > horizon:
                 break
+            if (
+                gossip is not None
+                and uniforms.item(base + 4) < exchange_rate
+                and target >= 0
+                and target != ticker
+            ):
+                gossip.exchange(ticker, target, next_event_time)
             time = next_event_time
             applied += 1
+            base += stride
+        if applied == walk and applied < candidates:
+            # A clean walk: likely a captured swarm's long wasted run, so
+            # the rest of the block goes to the vector classifier (never
+            # under gossip, where the walk covers every candidate).
+            count = self._wasted_prefix(base, candidates - applied, total, r01, r012)
+            walked = applied
+            for exp_draw in exps[base : base + stride * count : stride].tolist():
+                next_event_time = time + exp_draw * scale
+                while next_sample <= horizon and next_sample < next_event_time:
+                    record(next_sample)
+                    next_sample += interval
+                if next_event_time > horizon:
+                    break
+                time = next_event_time
+                applied += 1
+            base += stride * (applied - walked)
         if applied:
             self._time = time
             self.metrics.wasted_contacts += applied
@@ -944,8 +965,53 @@ class ArraySwarmKernel(_SwarmEventLoop):
                 # Both scalar overlay waste cases (zero degree, useless
                 # neighbor) bump the locality counter too.
                 self.metrics.neighbor_useless_ticks += applied
-            draws.advance(4 * applied)
+            draws._pos = base
         return applied, next_sample
+
+    def _wasted_prefix(
+        self, start: int, candidates: int, total: float, r01: float, r012: float
+    ) -> int:
+        """Vector tier of :meth:`_batch_stage` (no gossip census).
+
+        The number of leading four-draw candidates, from block position
+        ``start``, that are wasted peer ticks — classified with array ops:
+        event type, ticker/target rows (homogeneous, per-class segmented,
+        or gathered from the overlay's adjacency rows) and usefulness of
+        the contact via the mask census, with the scalar draws'
+        truncate-and-clamp maps.
+        """
+        n = self._n
+        masks = self._masks
+        overlay = self._overlay
+        chunk = self.draws._uniforms[start : start + 4 * candidates]
+        selector = chunk[1::4] * total
+        is_peer_tick = (selector > r01) & (selector <= r012)
+        if self._classes is not None:
+            ticker = self._batch_hetero_tickers(chunk[2::4])
+            if ticker is None:
+                return 0
+        else:
+            ticker = (chunk[2::4] * n).astype(np.int64)
+            np.minimum(ticker, n - 1, out=ticker)
+        if overlay is not None:
+            # Adjacency gather: the target draw maps onto the ticker's
+            # neighbor row with the scalar truncate-and-clamp.  A
+            # zero-degree ticker wastes its tick regardless of the
+            # (clamped, garbage) gather, so the `zero` mask gates it.
+            degree = overlay.deg[ticker]
+            index = (chunk[3::4] * degree).astype(np.int64)
+            np.minimum(index, degree - 1, out=index)
+            np.maximum(index, 0, out=index)
+            target = overlay.adj[ticker, index]
+            useless = (masks[ticker] & ~masks[target]) == 0
+            ok = is_peer_tick & ((degree == 0) | useless)
+        else:
+            target = (chunk[3::4] * n).astype(np.int64)
+            np.minimum(target, n - 1, out=target)
+            useless = (masks[ticker] & ~masks[target]) == 0
+            ok = is_peer_tick & ((ticker == target) | useless)
+        bad = np.flatnonzero(~ok)
+        return int(bad[0]) if bad.size else candidates
 
     def _batch_thinned(
         self,

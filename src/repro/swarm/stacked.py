@@ -362,13 +362,16 @@ class StackedSwarmKernel:
                 lane._events = 0
             lane._stk_dirty = True
             lane._stk_window = _MIN_WINDOW
-            # Overlay lanes cannot join the cross-lane classification:
-            # phases 3/4 draw contact targets uniformly over the mask sheet,
-            # but an overlay target is one uniform over the ticker's
-            # *neighbor* row.  Such lanes batch through their own
-            # (adjacency-aware) solo stage in ``classify`` instead.
+            # Overlay and gossip lanes cannot join the cross-lane
+            # classification: phases 3/4 draw contact targets uniformly over
+            # the mask sheet, but an overlay target is one uniform over the
+            # ticker's *neighbor* row, and a gossip tick is a five-draw
+            # stride whose exchange mutates the estimate rows.  Such lanes
+            # batch through their own solo stage in ``classify`` instead.
             lane._stk_windowable = (
-                lane._batch_enabled and lane._overlay is None
+                lane._batch_enabled
+                and lane._overlay is None
+                and lane._gossip is None
             )
             # Homogeneous lanes recompute rates from three counters and four
             # per-lane constants; digesting the constants once lets
@@ -533,9 +536,9 @@ class StackedSwarmKernel:
                             win_lanes.append(lane)
                             win_widths.append(window)
                             return
-                        # Overlay lane: batch through its own solo stage
-                        # (adjacency-aware classification); draw-invisible,
-                        # so the trajectory stays bit-identical to solo.
+                        # Overlay / gossip lane: batch through its own solo
+                        # stage (adjacency- and exchange-aware); draw-
+                        # invisible, so the trajectory stays bit-identical.
                         applied_b, next_sample = lane._batch_stage(
                             rates,
                             total,

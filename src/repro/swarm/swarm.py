@@ -332,12 +332,18 @@ class _SwarmEventLoop:
         return class_index, type_index
 
     def _draw_hetero_ticker(self) -> int:
-        """Backend-native handle of the peer whose clock ticks.
+        """Backend-native handle of the peer whose clock ticks (one draw)."""
+        return self._pick_from_segments(self._ticker_segments(), self.draws.next())
 
-        One uniform draw over the cumulative per-class tick weight (base
-        weight ``µ_c`` per member plus ``(retry_speedup - 1) µ_c`` per
-        sped-up member); the handle is read out of the per-class lists by
-        index arithmetic, with no per-event weight-array rebuild.
+    def _ticker_segments(self) -> List[Tuple[float, List[int]]]:
+        """The (unit weight, handles) segments a ticker uniform maps over.
+
+        The cumulative per-class tick weight: base weight ``µ_c`` per member
+        plus ``(retry_speedup - 1) µ_c`` per sped-up member; the handle is
+        read out of the per-class lists by index arithmetic, with no
+        per-event weight-array rebuild.  Valid until a membership changes,
+        so the array kernel's batch walk builds it once per run of peeked
+        uniforms.
         """
         extra = self.retry_speedup - 1.0
         segments: List[Tuple[float, List[int]]] = []
@@ -348,7 +354,7 @@ class _SwarmEventLoop:
             for cls, sped in zip(self._classes, self._class_sped):
                 if sped:
                     segments.append((extra * cls.contact_rate, sped))
-        return self._pick_from_segments(segments)
+        return segments
 
     def _draw_hetero_departing_seed(self) -> Optional[int]:
         """Backend-native handle of the departing peer seed (γ_c-weighted)."""
@@ -359,12 +365,16 @@ class _SwarmEventLoop:
         ]
         if not segments:
             return None
-        return self._pick_from_segments(segments)
+        return self._pick_from_segments(segments, self.draws.next())
 
-    def _pick_from_segments(self, segments: List[Tuple[float, List[int]]]) -> int:
-        """One uniform draw over concatenated (unit weight, handles) segments."""
+    @staticmethod
+    def _pick_from_segments(
+        segments: List[Tuple[float, List[int]]], u: float
+    ) -> int:
+        """Map the uniform ``u`` over concatenated (unit weight, handles)
+        segments (``total * u``: what ``draws.uniform(0.0, total)`` gives)."""
         total = sum(unit * len(handles) for unit, handles in segments)
-        threshold = self.draws.uniform(0.0, total)
+        threshold = total * u
         acc = 0.0
         for unit, handles in segments[:-1]:
             width = unit * len(handles)

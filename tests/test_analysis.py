@@ -1,6 +1,9 @@
 """Tests for the statistics helpers and table rendering."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,29 @@ from repro.analysis.statistics import (
     trailing_window,
 )
 from repro.analysis.tables import format_table, table_to_csv_string, write_csv
+
+
+class TestImportCost:
+    def test_package_import_does_not_load_scipy_stats(self):
+        """scipy.stats costs about a second to import; the package entry
+        points must defer it to the functions that use it."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            "import sys, repro, repro.experiments, repro.fleet; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') "
+            "if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestStatistics:

@@ -10,6 +10,7 @@ backends, on plain parameters and on scenarios with real Poisson thinning.
 
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,11 @@ from hypothesis import strategies as st
 from repro.core.parameters import SystemParameters
 from repro.core.scenario import make_scenario
 from repro.core.state import SystemState
-from repro.swarm.swarm import make_simulator, run_swarm
+from repro.swarm.drawbuf import DEFAULT_BLOCK_SIZE
+from repro.swarm.gossip import CensusSpec
+from repro.swarm.kernel import ArraySwarmKernel
+from repro.swarm.policies import RarestFirstSelection
+from repro.swarm.swarm import _SwarmEventLoop, make_simulator, run_swarm
 
 BACKENDS = ("object", "array")
 
@@ -156,6 +161,102 @@ class TestCheckpointRoundTrip:
         if result.suspended:
             result = sim.run(10.0, resume=True, max_events=400)
         _assert_same_outcome(result, uninterrupted)
+
+
+def _mid_walk_offsets(monkeypatch, make, horizon, initial, max_events):
+    """Event counts that fall strictly inside a run the batch walk applied.
+
+    Spies on one uninterrupted run: every scalar ``_apply_event`` is one
+    event and every ``_batch_stage`` call applies a run of them, so the
+    event count at each stage entry is known.  Returns offsets from the
+    first, a middle and the last run of at least three events.
+    """
+    events = [0]
+    runs = []
+    stage = ArraySwarmKernel._batch_stage
+    apply_event = _SwarmEventLoop._apply_event
+
+    def spy_stage(self, *args):
+        result = stage(self, *args)
+        if result[0] >= 3:
+            runs.append((events[0], result[0]))
+        events[0] += result[0]
+        return result
+
+    def spy_apply(self, rates):
+        events[0] += 1
+        return apply_event(self, rates)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ArraySwarmKernel, "_batch_stage", spy_stage)
+        patch.setattr(_SwarmEventLoop, "_apply_event", spy_apply)
+        make().run(horizon, initial_state=initial, max_events=max_events)
+    picked = [runs[0], runs[len(runs) // 2], runs[-1]] if runs else []
+    return sorted({start + length // 2 for start, length in picked})
+
+
+class TestMidWalkSuspendResume:
+    """Suspending inside a run the batch walk would have applied in one go
+    (gossip's five-draw stride, overlay targets, per-class tickers), then
+    pickling, restoring and resuming, must be bit-identical to never
+    stopping — estimate rows, overlay and final snapshot included."""
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            make_scenario("flash-crowd", census=CensusSpec.gossip(exchange_rate=0.5)),
+            make_scenario("sparse-overlay", topology="tracker", degree=6),
+            make_scenario("sparse-overlay", census="gossip"),
+            make_scenario("free-rider"),
+        ],
+        ids=["gossip", "tracker-overlay", "gossip-overlay", "free-rider"],
+    )
+    def test_suspend_inside_a_walk_is_exact(self, scenario, monkeypatch):
+        horizon, max_events = 30.0, 3000
+        initial = SystemState.one_club(scenario.params.num_pieces, 200)
+
+        def make(seed=23):
+            # An explicit block size: the walk needs a pending block, even
+            # when the suite runs with DRAW_BLOCK_SIZE=1.
+            return make_simulator(
+                scenario.params,
+                policy=RarestFirstSelection(),
+                seed=np.random.default_rng(seed),
+                backend="array",
+                scenario=scenario,
+                draw_block_size=DEFAULT_BLOCK_SIZE,
+            )
+
+        offsets = _mid_walk_offsets(monkeypatch, make, horizon, initial, max_events)
+        assert offsets, "no walk long enough to suspend inside"
+        straight = make()
+        reference = straight.run(horizon, initial_state=initial, max_events=max_events)
+        final = straight.capture_state()
+        for offset in offsets:
+            first = make()
+            segment = first.run(
+                horizon,
+                initial_state=initial,
+                max_events=max_events,
+                suspend_after_events=offset,
+            )
+            assert segment.suspended and segment.events_executed == offset
+            snapshot = pickle.loads(pickle.dumps(first.capture_state()))
+            fresh = make(seed=999)
+            fresh.restore_state(snapshot)
+            resumed = fresh.run(horizon, resume=True, max_events=max_events)
+            _assert_same_outcome(resumed, reference)
+            assert resumed.metrics.census_error == reference.metrics.census_error
+            assert (
+                resumed.metrics.neighbor_useless_ticks
+                == reference.metrics.neighbor_useless_ticks
+            )
+            after = fresh.capture_state()
+            for key in ("gossip", "overlay", "backend_state", "time", "metrics"):
+                assert pickle.dumps(after[key]) == pickle.dumps(final[key]), (
+                    offset,
+                    key,
+                )
 
 
 class TestSnapshotValidation:

@@ -524,6 +524,64 @@ class TestStackedGossip:
                     solo.run(15.0)
                 ), (scenario.name, seed)
 
+    def test_stacked_gossip_lanes_equal_solo_on_captured_club(self, monkeypatch):
+        """Pre-seeded 200-peer clubs give long wasted runs, so gossip lanes
+        really batch through their solo walk (spied); lane results and
+        final estimate rows must still equal solo runs."""
+        from repro.swarm.kernel import ArraySwarmKernel
+
+        walked = [0]
+        stage = ArraySwarmKernel._batch_stage
+
+        def spy(self, *args):
+            result = stage(self, *args)
+            walked[0] += result[0]
+            return result
+
+        monkeypatch.setattr(ArraySwarmKernel, "_batch_stage", spy)
+        configs = [
+            (make_scenario("flash-crowd", census=CensusSpec.gossip(exchange_rate=0.05)), 61),
+            (make_scenario("flash-crowd", census=CensusSpec.gossip(exchange_rate=0.9)), 62),
+            (make_scenario("sparse-overlay", census="gossip"), 63),
+            (None, 64),
+            (make_scenario("flash-crowd", census="gossip"), 65),
+        ]
+        run_kwargs = dict(max_events=4000)
+
+        def params_of(scenario):
+            return base_params() if scenario is None else scenario.params
+
+        def initial_of(scenario):
+            return SystemState.one_club(params_of(scenario).num_pieces, 200)
+
+        stack = StackedSwarmKernel()
+        for scenario, seed in configs:
+            stack.add_lane(
+                params_of(scenario),
+                seed=np.random.default_rng(seed),
+                scenario=scenario,
+                policy=RarestFirstSelection(),
+            )
+        stacked = stack.run_all(
+            30.0, initial_states=[initial_of(s) for s, _ in configs], **run_kwargs
+        )
+        if stack.lane(0).draws.block_size > 1:
+            # (DRAW_BLOCK_SIZE=1 leaves no pending block to walk.)
+            assert walked[0] > 0
+        for index, (scenario, seed) in enumerate(configs):
+            solo = make_simulator(
+                params_of(scenario),
+                policy=RarestFirstSelection(),
+                seed=np.random.default_rng(seed),
+                backend="array",
+                scenario=scenario,
+            )
+            result = solo.run(30.0, initial_state=initial_of(scenario), **run_kwargs)
+            assert metrics_tuple(stacked[index]) == metrics_tuple(result), index
+            lane_gossip = stack.lane(index).capture_state()["gossip"]
+            solo_gossip = solo.capture_state()["gossip"]
+            assert pickle.dumps(lane_gossip) == pickle.dumps(solo_gossip), index
+
     def test_stacked_mixed_gossip_and_plain_lanes(self):
         """Gossip lanes fall back to scalar dispatch while plain lanes keep
         the cross-lane window classification — in the same stack."""

@@ -11,13 +11,16 @@ from repro.coding.gf import PrimeField
 from repro.coding.subspace import Subspace
 from repro.core.branching import one_club_drift
 from repro.core.parameters import SystemParameters
-from repro.core.scenario import PeerClass, RateSchedule, ScenarioSpec
+from repro.core.scenario import PeerClass, RateSchedule, ScenarioSpec, make_scenario
 from repro.core.stability import analyze, delta_s, piece_threshold, Stability
 from repro.core.state import SystemState
 from repro.core.transitions import outgoing_transitions, total_exit_rate
 from repro.core.types import PieceSet, all_types
-from repro.swarm.policies import make_policy, registered_policies
-from repro.swarm.swarm import run_swarm
+from repro.swarm.drawbuf import DEFAULT_BLOCK_SIZE
+from repro.swarm.gossip import CensusSpec
+from repro.swarm.kernel import ArraySwarmKernel
+from repro.swarm.policies import RarestFirstSelection, make_policy, registered_policies
+from repro.swarm.swarm import make_simulator, run_swarm
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -426,6 +429,132 @@ class TestBackendEquivalence:
             assert arr.metrics.one_club_size == obj.metrics.one_club_size, name
             assert arr.metrics.min_piece_count == obj.metrics.min_piece_count, name
             assert arr.metrics.thinned_events == obj.metrics.thinned_events, name
+
+
+#: The batch walk's shapes, each run on a pre-seeded one-club of 200 peers
+#: under rarest-first: long wasted runs, so the walk really runs.
+WALK_SHAPES = {
+    "homogeneous": None,
+    "free-rider": make_scenario("free-rider"),
+    "tracker-overlay": make_scenario("sparse-overlay", topology="tracker", degree=6),
+    "gossip-0.05": make_scenario(
+        "flash-crowd", census=CensusSpec.gossip(exchange_rate=0.05)
+    ),
+    "gossip-0.9": make_scenario(
+        "flash-crowd", census=CensusSpec.gossip(exchange_rate=0.9)
+    ),
+    "gossip-sparse-overlay": make_scenario("sparse-overlay", census="gossip"),
+    "flash-crowd": make_scenario("flash-crowd"),
+}
+
+
+def _exact(value):
+    """A comparable, bit-exact form of a snapshot fragment."""
+    if isinstance(value, dict):
+        return {key: _exact(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, (list, tuple)):
+        return [_exact(item) for item in value]
+    return value
+
+
+def _outcome(result):
+    m = result.metrics
+    return (
+        m.sample_times,
+        m.population,
+        m.num_seeds,
+        m.one_club_size,
+        m.min_piece_count,
+        m.census_error,
+        m.census_staleness,
+        m.total_arrivals,
+        m.total_departures,
+        m.total_downloads,
+        m.total_seed_uploads,
+        m.wasted_contacts,
+        m.thinned_events,
+        m.neighbor_useful_ticks,
+        m.neighbor_useless_ticks,
+        m.sojourn_times,
+        m.download_times,
+        result.final_state,
+        result.final_time,
+        result.events_executed,
+    )
+
+
+class TestBatchWalkBackendEquivalence:
+    """The array kernel's batch walk on captured swarms: object vs. array
+    (default block) vs. array at ``draw_block_size=1`` (no batching at all)
+    must agree on every metric and on the final snapshot — gossip estimate
+    rows, last-update times and exchange counts included."""
+
+    @pytest.mark.parametrize("shape", sorted(WALK_SHAPES))
+    def test_walk_is_trajectory_invisible(self, shape, monkeypatch):
+        scenario = WALK_SHAPES[shape]
+        if scenario is not None:
+            params = scenario.params
+        else:
+            params = SystemParameters.flash_crowd(
+                num_pieces=6, arrival_rate=2.0, seed_rate=0.5
+            )
+        # Count the events the scalar walk applied: everything the stage
+        # applied minus the thinned batches and what the vector tier
+        # classified (an upper bound on what it applied).
+        applied = {"stage": 0, "vector": 0, "thinned": 0}
+
+        def counting(name, method):
+            def wrapper(self, *args):
+                result = method(self, *args)
+                applied[name] += result if name == "vector" else result[0]
+                return result
+
+            return wrapper
+
+        for name, attr in (
+            ("stage", "_batch_stage"),
+            ("vector", "_wasted_prefix"),
+            ("thinned", "_batch_thinned"),
+        ):
+            monkeypatch.setattr(
+                ArraySwarmKernel, attr, counting(name, getattr(ArraySwarmKernel, attr))
+            )
+        initial = SystemState.one_club(params.num_pieces, 200)
+        runs = {}
+        for label, backend, block in (
+            ("object", "object", None),
+            ("array", "array", DEFAULT_BLOCK_SIZE),
+            ("array-scalar", "array", 1),
+        ):
+            simulator = make_simulator(
+                params,
+                policy=RarestFirstSelection(),
+                seed=np.random.default_rng(17),
+                backend=backend,
+                scenario=scenario,
+                draw_block_size=block,
+            )
+            result = simulator.run(30.0, initial_state=initial, max_events=6000)
+            runs[label] = (_outcome(result), simulator.capture_state())
+            if label == "array":
+                walked = applied["stage"] - applied["vector"] - applied["thinned"]
+                assert walked > 0, shape
+        assert runs["object"][0] == runs["array"][0] == runs["array-scalar"][0]
+        # Draw look-ahead (buffer remainder, generator position) depends on
+        # the block size; everything else in the snapshot must not.
+        snapshots = {
+            label: {
+                key: _exact(value)
+                for key, value in snapshot.items()
+                if key not in ("draws", "rng_state")
+            }
+            for label, (_, snapshot) in runs.items()
+        }
+        assert snapshots["array"] == snapshots["array-scalar"]
+        for key in ("gossip", "overlay", "metrics", "time", "run"):
+            assert snapshots["object"][key] == snapshots["array"][key], key
 
 
 # ---------------------------------------------------------------------------
